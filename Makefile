@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-json bench-compare
+.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke perfbench-test check bench bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -91,11 +91,19 @@ serve-smoke:
 	@rm -rf .serve-smoke
 	@echo "serve-smoke: trigger log matches golden and is identical on memory/unix/tcp"
 
+# The end-to-end benchmark's own tests (perfbench/, a nested module the
+# root `go test ./...` does not reach) under the race detector: metric
+# set, result checks, trace neutrality and seed reproducibility, plus
+# the socket-cluster paths they drive. About 35 s.
+perfbench-test:
+	cd perfbench && $(GO) test -race -count=1 ./...
+
 # The CI gate: static analysis (go vet and the project's lbvet
 # analyzers), the race-enabled suite, the chaos suite (which includes
-# the storm), the observability, wire and serve smokes, and the
-# benchmark regression diff against the committed trajectory.
-check: vet lint race chaos obs-smoke wire-smoke serve-smoke bench-compare
+# the storm), the observability, wire and serve smokes, the benchmark
+# module's tests, and the benchmark regression diff against the
+# committed trajectory.
+check: vet lint race chaos obs-smoke wire-smoke serve-smoke perfbench-test bench-compare
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -224,6 +224,54 @@ func benchJSONSuite() []struct {
 				}
 			}
 		}},
+		{"core_gossip_merge_256ranks", func(b *testing.B) {
+			// One op = one engine-style gossip stage on the engine-vb
+			// shape (256 ranks, 4 loaded, engineCfg's fanout 4 and 6
+			// rounds): every underloaded rank seeds its round-1
+			// messages and a FIFO queue delivers them until quiescence.
+			// The states are reseeded per op, so every op gossips the
+			// same input.
+			a := coreBenchAssignment()
+			loads, ave := a.RankLoads(), a.AveLoad()
+			cfg := engineCfg()
+			states := coreBenchStates(len(loads), &cfg)
+			var queue []core.Send
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				queue = coreGossip(states, loads, ave, queue)
+			}
+		}},
+		{"core_transfer_stage_recompute", func(b *testing.B) {
+			// One op = one transfer stage (RunTransferScratch) of the
+			// most loaded rank under engineCfg's Tempered(): relaxed
+			// criterion, modified CMF rebuilt per decision (Algorithm 2
+			// line 7), over the knowledge one gossip stage gave it. The
+			// stage raises known loads, so each op first restores the
+			// gossiped knowledge with one Reset and Merge.
+			a := coreBenchAssignment()
+			loads, ave := a.RankLoads(), a.AveLoad()
+			cfg := engineCfg()
+			states := coreBenchStates(len(loads), &cfg)
+			coreGossip(states, loads, ave, nil)
+			self := core.Rank(0)
+			for r, l := range loads {
+				if l > loads[self] {
+					self = core.Rank(r)
+				}
+			}
+			gossiped := append([]core.RankLoad(nil), states[self].Knowledge().Entries()...)
+			tasks := a.AppendTasksOf(nil, self)
+			know := core.NewKnowledge(len(loads))
+			rng := core.SeededRNG(cfg.Seed)
+			var scr core.TransferScratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				know.Reset()
+				know.Merge(gossiped)
+				rng.Seed(cfg.Seed)
+				core.RunTransferScratch(self, tasks, loads[self], ave, know, &cfg, rng, nil, &scr)
+			}
+		}},
 		{"orderings_fewest_migrations_10k", func(b *testing.B) {
 			tasks := make([]core.Task, 10_000)
 			total := 0.0
@@ -236,6 +284,43 @@ func benchJSONSuite() []struct {
 			}
 		}},
 	}
+}
+
+// coreBenchAssignment is the engine-vb shape of the core-kernel rows:
+// the §V-B clustered case at 256 ranks, 4 loaded, 750 tasks.
+func coreBenchAssignment() *core.Assignment {
+	s := workload.VBCase(1)
+	s.NumRanks, s.LoadedRanks, s.NumTasks = 256, 4, 750
+	a, err := workload.Generate(s)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// coreBenchStates returns one gossip state per rank.
+func coreBenchStates(n int, cfg *core.Config) []*core.InformState {
+	states := make([]*core.InformState, n)
+	for r := range states {
+		states[r] = core.NewInformState(core.Rank(r), n, cfg, core.SeededRNG(cfg.Seed, int64(r)))
+	}
+	return states
+}
+
+// coreGossip runs one gossip stage the way the engine does — Begin on
+// every rank, then FIFO delivery until quiescence — after reseeding
+// every state, and returns the queue buffer for reuse.
+func coreGossip(states []*core.InformState, loads []float64, ave float64, queue []core.Send) []core.Send {
+	queue = queue[:0]
+	for r, st := range states {
+		st.Reseed(int64(r))
+		queue = append(queue, st.Begin(ave, loads[r])...)
+	}
+	for head := 0; head < len(queue); head++ {
+		more, _ := states[queue[head].To].Receive(queue[head].Msg)
+		queue = append(queue, more...)
+	}
+	return queue
 }
 
 // TestWriteBenchJSON regenerates BENCH_lb.json. Skipped unless BENCH_JSON

@@ -150,10 +150,15 @@ type Transport struct {
 	inCond   *sync.Cond
 	accepted []net.Conn // every accepted conn, for force-close
 
-	readerWG sync.WaitGroup
-	closing  atomic.Bool
-	closed   atomic.Bool
-	failErr  atomic.Pointer[error]
+	// connWG counts the goroutines serving inbound connections: the
+	// accept loop, handshakes in progress and read loops. A handshake
+	// hands its count on to the read loop it starts. Counts are added
+	// only under mu while closing is unset, and Close sets closing under
+	// mu, so no Add can race with Close's Wait.
+	connWG  sync.WaitGroup
+	closing atomic.Bool
+	closed  atomic.Bool
+	failErr atomic.Pointer[error]
 
 	framesOut, bytesOut atomic.Int64
 	framesIn, bytesIn   atomic.Int64
@@ -209,6 +214,7 @@ func New(cfg Config) (*Transport, error) {
 	}
 	t.inCond = sync.NewCond(&t.mu)
 	t.Network = comm.NewPartialNetwork(cfg.Ranks, spec.Lo, spec.Hi, t.forwardRemote)
+	t.connWG.Add(1)
 	go t.acceptLoop()
 	return t, nil
 }
@@ -378,13 +384,20 @@ func (t *Transport) dialPeer(node int) error {
 // lifetime. Each must open with a valid HELLO before any message is
 // honored.
 func (t *Transport) acceptLoop() {
+	defer t.connWG.Done()
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		t.mu.Lock()
+		if t.closing.Load() {
+			t.mu.Unlock()
+			conn.Close()
+			return
+		}
 		t.accepted = append(t.accepted, conn)
+		t.connWG.Add(1)
 		t.mu.Unlock()
 		go t.handshakeInbound(conn)
 	}
@@ -397,6 +410,12 @@ func (t *Transport) acceptLoop() {
 // so an invalid connection means the job is miswired, and failing
 // loudly beats proceeding half-connected.
 func (t *Transport) handshakeInbound(conn net.Conn) {
+	started := false
+	defer func() {
+		if !started {
+			t.connWG.Done()
+		}
+	}()
 	conn.SetReadDeadline(time.Now().Add(t.cfg.ConnectTimeout))
 	br := bufio.NewReader(conn)
 	ftype, body, err := readFrame(br, nil)
@@ -423,6 +442,13 @@ func (t *Transport) handshakeInbound(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	t.mu.Lock()
+	if t.closing.Load() {
+		// Close has begun: it owns this connection now and would not
+		// wait for a read loop started behind its back.
+		t.mu.Unlock()
+		conn.Close()
+		return
+	}
 	if _, dup := t.inbound[h.Node]; dup {
 		t.mu.Unlock()
 		t.fail(fmt.Errorf("wire: node %d handshook twice (duplicate -node index in the job?)", h.Node))
@@ -430,10 +456,10 @@ func (t *Transport) handshakeInbound(conn net.Conn) {
 		return
 	}
 	t.inbound[h.Node] = conn
+	started = true
+	go t.readLoop(h.Node, conn, br)
 	t.mu.Unlock()
 	t.inCond.Broadcast()
-	t.readerWG.Add(1)
-	go t.readLoop(h.Node, conn, br)
 }
 
 // checkHello validates a peer's announced geometry against ours.
@@ -459,7 +485,7 @@ func (t *Transport) checkHello(h helloBody) error {
 // wedges the collective protocol, so fail fast and loudly rather than
 // hang the epoch).
 func (t *Transport) readLoop(node int, conn net.Conn, br *bufio.Reader) {
-	defer t.readerWG.Done()
+	defer t.connWG.Done()
 	var buf []byte
 	for {
 		ftype, body, err := readFrame(br, buf)
@@ -614,14 +640,18 @@ func (t *Transport) fail(err error) {
 //  3. stop accepting, then wait — again bounded by DrainTimeout — for
 //     every peer's BYE so late inbound messages (acks, duplicates) are
 //     still injected while our process is alive;
-//  4. force-close whatever is left.
+//  4. force-close whatever is left, and wait until the accept loop and
+//     every handshake and read loop have returned, so no goroutine
+//     serving an inbound connection outlives Close.
 //
 // Close is idempotent and safe to call from any goroutine.
 func (t *Transport) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
 	}
+	t.mu.Lock()
 	t.closing.Store(true)
+	t.mu.Unlock()
 	t.Network.Close()
 
 	deadline := time.Now().Add(t.cfg.DrainTimeout)
@@ -649,7 +679,7 @@ func (t *Transport) Close() {
 
 	readersDone := make(chan struct{})
 	go func() {
-		t.readerWG.Wait()
+		t.connWG.Wait()
 		close(readersDone)
 	}()
 	select {

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -321,4 +322,48 @@ func TestWriterQueueCapDisabled(t *testing.T) {
 	if hw := tr.WireStats().QueueHighWater; hw != 100 {
 		t.Errorf("QueueHighWater = %d, want 100", hw)
 	}
+}
+
+// TestCloseRightAfterConnect closes clusters the moment NewCluster
+// returns, when the last inbound handshakes may still be registering
+// their read loops. Close must not race with that registration (run
+// under -race) and must leave no transport goroutine behind.
+func TestCloseRightAfterConnect(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		c, err := NewCluster("unix", 4, 2, uint64(0x1c0+i))
+		if err != nil {
+			t.Fatalf("cluster %d: %v", i, err)
+		}
+		c.Close()
+	}
+	// A goroutine that is only unwinding after signalling Close may
+	// still be on a stack for a moment; a leaked one stays there.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		left := transportGoroutines()
+		if left == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("transport goroutines outlive Close:\n%s", left)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// transportGoroutines returns the stacks of goroutines running a
+// transport's accept, handshake, read or write loop.
+func transportGoroutines() string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, fn := range []string{"acceptLoop", "handshakeInbound", "readLoop", "writeLoop"} {
+			if strings.Contains(g, "wire.(*Transport)."+fn) || strings.Contains(g, "wire.(*peer)."+fn) {
+				out = append(out, g)
+				break
+			}
+		}
+	}
+	return strings.Join(out, "\n\n")
 }

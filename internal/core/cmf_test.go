@@ -110,13 +110,13 @@ func TestBuildCMFModifiedNeverNegative(t *testing.T) {
 			if p := cmf.Prob(i); p < 0 {
 				t.Fatalf("negative probability %g", p)
 			}
-			if cmf.cum[i] < prev {
+			if cmf.cum(i) < prev {
 				t.Fatalf("non-monotone cum at %d", i)
 			}
-			prev = cmf.cum[i]
+			prev = cmf.cum(i)
 		}
-		if math.Abs(cmf.cum[cmf.Len()-1]-1) > 1e-12 {
-			t.Fatalf("cum does not end at 1: %g", cmf.cum[cmf.Len()-1])
+		if math.Abs(cmf.cum(cmf.Len()-1)-1) > 1e-12 {
+			t.Fatalf("cum does not end at 1: %g", cmf.cum(cmf.Len()-1))
 		}
 	}
 }

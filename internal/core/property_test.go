@@ -122,12 +122,12 @@ func TestQuickCMFValid(t *testing.T) {
 		}
 		prev := 0.0
 		for i := 0; i < cmf.Len(); i++ {
-			if cmf.Prob(i) < -1e-12 || cmf.cum[i] < prev-1e-12 {
+			if cmf.Prob(i) < -1e-12 || cmf.cum(i) < prev-1e-12 {
 				return false
 			}
-			prev = cmf.cum[i]
+			prev = cmf.cum(i)
 		}
-		return math.Abs(cmf.cum[cmf.Len()-1]-1) < 1e-12
+		return math.Abs(cmf.cum(cmf.Len()-1)-1) < 1e-12
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)

@@ -20,7 +20,10 @@ type TransferStats struct {
 	// NoCandidate counts loop exits because the CMF had no positive mass
 	// (every known rank at or above the normalization level).
 	NoCandidate int
-	// CMFBuilds counts BUILDCMF invocations.
+	// CMFBuilds counts BUILDCMF invocations as Algorithm 2 makes them:
+	// one per pass at line 5, or one per decision at line 7 when
+	// cfg.RecomputeCMF is set. A line-7 build that the transfer stage
+	// serves by reusing or refreshing the previous CMF still counts.
 	CMFBuilds int
 }
 
@@ -123,22 +126,31 @@ func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, kno
 		}
 	}
 
+	// fresh records that scr.cmf already equals what a line-7 rebuild
+	// over the current knowledge would produce: after a rejection the
+	// knowledge is untouched, and after an acceptance refresh updates the
+	// CMF in place whenever it can.
+	fresh := false
 	n := 0
 	for ; *selfLoad > cfg.Threshold*ave && n < len(ordered); n++ {
 		if cfg.RecomputeCMF { // line 7: rebuild with updated knowledge
 			st.CMFBuilds++
-			if !scr.cmf.Rebuild(know, self, ave, cfg.CMF) {
+			if !fresh && !scr.cmf.Rebuild(know, self, ave, cfg.CMF) {
 				st.NoCandidate++
 				scr.kept = append(scr.kept, ordered[n:]...)
 				return accepted, true
 			}
+			fresh = true
 		}
 		o := ordered[n]
 		pick := scr.cmf
 		if affinity != nil {
 			pick = scr.cmf.Blend(func(r Rank) float64 { return affinity(o.ID, r) }, cfg.CommBias)
 		}
-		px := pick.Sample(rng)                                  // line 9
+		// A blended CMF shares the candidate list, so the index is also
+		// the candidate's index in scr.cmf.
+		i := pick.sampleIndex(rng) // line 9
+		px := pick.Rank(i)
 		lx := know.Load(px)                                     // line 10
 		if cfg.Criterion.Evaluate(lx, o.Load, ave, *selfLoad) { // line 11
 			know.Update(px, lx+o.Load) // line 12
@@ -146,6 +158,7 @@ func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, kno
 			scr.proposals = append(scr.proposals, Proposal{Task: o.ID, To: px})
 			st.Accepted++
 			accepted++
+			fresh = cfg.RecomputeCMF && scr.cmf.refresh(know, i, ave, cfg.CMF)
 		} else {
 			st.Rejected++
 			scr.kept = append(scr.kept, o)
