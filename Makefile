@@ -111,10 +111,10 @@ bench:
 # Regenerate BENCH_lb.json, the machine-readable perf trajectory
 # (ns/op, B/op, allocs/op per recorded configuration).
 bench-json:
-	BENCH_JSON=1 $(GO) test -run TestWriteBenchJSON -v .
+	BENCH_JSON=1 $(GO) test -count=1 -run TestWriteBenchJSON -v .
 
 # Rerun the BENCH_lb.json suite and fail on >20% ns/op or B/op
 # regression against the committed file (override the tolerance with
 # BENCH_TOLERANCE=0.30).
 bench-compare:
-	BENCH_COMPARE=1 $(GO) test -run TestBenchCompare -v .
+	BENCH_COMPARE=1 $(GO) test -count=1 -run TestBenchCompare -v .

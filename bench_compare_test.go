@@ -1,7 +1,8 @@
 // Benchmark regression gate: `make bench-compare` (or BENCH_COMPARE=1
 // go test -run TestBenchCompare) reruns the BENCH_lb.json suite through
-// testing.Benchmark and fails if any row's ns/op or B/op regressed more
-// than the tolerance (default 20%, override with BENCH_TOLERANCE=0.30)
+// measureSuite (each row the minimum of several testing.Benchmark runs,
+// as the committed file records) and fails if any row's ns/op or B/op regressed
+// more than the tolerance (default 20%, override with BENCH_TOLERANCE=0.30)
 // against the committed file. Rows present in only one of the two sets
 // are reported but do not fail the gate — adding a benchmark must not
 // require regenerating the trajectory in the same commit.
@@ -46,7 +47,10 @@ func TestBenchCompare(t *testing.T) {
 
 	check := func(name, unit string, got, want int64) {
 		limit := float64(want) * (1 + tolerance)
-		delta := 100 * (float64(got)/float64(want) - 1)
+		delta := 0.0
+		if got != want {
+			delta = 100 * (float64(got)/float64(want) - 1)
+		}
 		line := fmt.Sprintf("%-34s %-8s %12d committed %12d measured (%+.1f%%)",
 			name, unit, want, got, delta)
 		if float64(got) > limit {
@@ -57,20 +61,15 @@ func TestBenchCompare(t *testing.T) {
 	}
 
 	seen := map[string]bool{}
-	for _, bm := range benchJSONSuite() {
-		want, ok := baseline[bm.name]
+	for _, got := range measureSuite() {
+		want, ok := baseline[got.Name]
 		if !ok {
-			t.Logf("%-34s not in BENCH_lb.json; run `make bench-json` to record it", bm.name)
+			t.Logf("%-34s not in BENCH_lb.json; run `make bench-json` to record it", got.Name)
 			continue
 		}
-		seen[bm.name] = true
-		fn := bm.fn
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b)
-		})
-		check(bm.name, "ns/op", res.NsPerOp(), want.NsPerOp)
-		check(bm.name, "B/op", res.AllocedBytesPerOp(), want.BytesPerOp)
+		seen[got.Name] = true
+		check(got.Name, "ns/op", got.NsPerOp, want.NsPerOp)
+		check(got.Name, "B/op", got.BytesPerOp, want.BytesPerOp)
 	}
 	for name := range baseline {
 		if !seen[name] {

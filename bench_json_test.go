@@ -1,7 +1,8 @@
 // Machine-readable benchmark emission: `make bench-json` (or BENCH_JSON=1
 // go test -run TestWriteBenchJSON) reruns a fixed set of leaf benchmark
 // configurations through testing.Benchmark and writes BENCH_lb.json, the
-// perf trajectory future PRs diff against. The set deliberately includes
+// perf trajectory future PRs diff against. Rows are measured by
+// measureSuite, the same way the `make bench-compare` gate measures them. The set deliberately includes
 // an engine run with a tracer attached so observability overhead is part
 // of the recorded trajectory.
 package temperedlb_test
@@ -235,7 +236,10 @@ func benchJSONSuite() []struct {
 			loads, ave := a.RankLoads(), a.AveLoad()
 			cfg := engineCfg()
 			states := coreBenchStates(len(loads), &cfg)
-			var queue []core.Send
+			// One untimed op grows the queue and knowledge buffers, so
+			// B/op counts the steady state rather than a one-time growth
+			// amortized over however many ops b.N happens to be.
+			queue := coreGossip(states, loads, ave, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				queue = coreGossip(states, loads, ave, queue)
@@ -264,6 +268,9 @@ func benchJSONSuite() []struct {
 			know := core.NewKnowledge(len(loads))
 			rng := core.SeededRNG(cfg.Seed)
 			var scr core.TransferScratch
+			// One untimed op sizes the scratch (see the gossip row).
+			know.Merge(gossiped)
+			core.RunTransferScratch(self, tasks, loads[self], ave, know, &cfg, rng, nil, &scr)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				know.Reset()
@@ -323,6 +330,43 @@ func coreGossip(states []*core.InformState, loads []float64, ave float64, queue 
 	return queue
 }
 
+// benchRuns is how many testing.Benchmark runs measureSuite takes per
+// row.
+const benchRuns = 3
+
+// measureSuite measures every row of the suite benchRuns times and
+// records each row's minimum ns/op, B/op and allocs/op. Load from other
+// processes on the host only ever adds time, so the fastest run is the
+// best estimate of the code's own cost; a single run moved by about the
+// whole gate tolerance from one run to the next on a shared host. The
+// runs are taken in benchRuns passes over the whole suite, so one slow
+// spell of the host cannot hit all runs of a row.
+func measureSuite() []benchRecord {
+	suite := benchJSONSuite()
+	recs := make([]benchRecord, len(suite))
+	for pass := 0; pass < benchRuns; pass++ {
+		for i, bm := range suite {
+			fn := bm.fn
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				fn(b)
+			})
+			r := &recs[i]
+			if pass == 0 || res.NsPerOp() < r.NsPerOp {
+				r.N, r.NsPerOp = res.N, res.NsPerOp()
+			}
+			if pass == 0 || res.AllocedBytesPerOp() < r.BytesPerOp {
+				r.BytesPerOp = res.AllocedBytesPerOp()
+			}
+			if pass == 0 || res.AllocsPerOp() < r.AllocsPerOp {
+				r.AllocsPerOp = res.AllocsPerOp()
+			}
+			r.Name = bm.name
+		}
+	}
+	return recs
+}
+
 // TestWriteBenchJSON regenerates BENCH_lb.json. Skipped unless BENCH_JSON
 // is set: the run takes a while and must not slow down the tier-1 suite.
 func TestWriteBenchJSON(t *testing.T) {
@@ -334,21 +378,10 @@ func TestWriteBenchJSON(t *testing.T) {
 		GoOS:      runtime.GOOS,
 		GoArch:    runtime.GOARCH,
 	}
-	for _, bm := range benchJSONSuite() {
-		fn := bm.fn
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b)
-		})
-		out.Benchmarks = append(out.Benchmarks, benchRecord{
-			Name:        bm.name,
-			N:           res.N,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
+	out.Benchmarks = measureSuite()
+	for _, rec := range out.Benchmarks {
 		t.Logf("%-34s %12d ns/op %10d B/op %8d allocs/op (n=%d)",
-			bm.name, res.NsPerOp(), res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N)
+			rec.Name, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp, rec.N)
 	}
 	f, err := os.Create("BENCH_lb.json")
 	if err != nil {

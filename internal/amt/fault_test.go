@@ -1,20 +1,21 @@
 package amt
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"temperedlb/internal/comm"
 	"temperedlb/internal/core"
+	"temperedlb/internal/fault"
 	"temperedlb/internal/obs"
 )
 
 // lossySpec is an aggressive drop+dup+delay plan used by the chaos
 // tests: every fifth message lost, every fifth duplicated, deliveries
 // smeared over a millisecond.
-func lossySpec(seed int64) comm.FaultSpec {
-	return comm.FaultSpec{
+func lossySpec(seed int64) fault.Spec {
+	return fault.Spec{
 		Seed: seed, Drop: 0.2, Dup: 0.2,
 		DelayMax:  time.Millisecond,
 		RetryBase: time.Millisecond,
@@ -129,7 +130,7 @@ func TestChaosFaultyMigrations(t *testing.T) {
 // protocols must still converge.
 func TestChaosFaultyStragglers(t *testing.T) {
 	rt := New(4)
-	sp := comm.FaultSpec{
+	sp := fault.Spec{
 		Seed: 3, Drop: 0.1,
 		SlowRanks: map[int]time.Duration{2: 2 * time.Millisecond},
 		RetryBase: time.Millisecond,
@@ -211,7 +212,7 @@ func TestFaultsInstrumented(t *testing.T) {
 // reliability layer.
 func TestEmptyFaultSpecLeavesFastPath(t *testing.T) {
 	rt := New(2)
-	if err := rt.SetFaults(comm.FaultSpec{}); err != nil {
+	if err := rt.SetFaults(fault.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	if rt.reliable {
@@ -232,9 +233,10 @@ func TestEmptyFaultSpecLeavesFastPath(t *testing.T) {
 
 func TestSetFaultsValidates(t *testing.T) {
 	rt := New(4)
-	for _, sp := range []comm.FaultSpec{
+	for _, sp := range []fault.Spec{
 		{Drop: 1.0},
 		{Dup: -0.5},
+		{Drop: math.NaN()},
 		{DelayMin: 2 * time.Millisecond, DelayMax: time.Millisecond},
 		{SlowRanks: map[int]time.Duration{9: time.Millisecond}},
 	} {
@@ -249,5 +251,5 @@ func TestSetFaultsValidates(t *testing.T) {
 			t.Error("expected panic calling SetFaults after Run")
 		}
 	}()
-	_ = rt.SetFaults(comm.FaultSpec{Drop: 0.1})
+	_ = rt.SetFaults(fault.Spec{Drop: 0.1})
 }

@@ -8,6 +8,7 @@ import (
 
 	"temperedlb/internal/comm"
 	"temperedlb/internal/core"
+	"temperedlb/internal/fault"
 	"temperedlb/internal/obs"
 )
 
@@ -369,15 +370,6 @@ func (rt *Runtime) Run(main func(rc *Context)) {
 // (including control traffic).
 func (rt *Runtime) TotalMessages() int64 { return rt.nw.TotalSent() }
 
-// SetJitter delays every message delivery by a random duration up to
-// max, deliberately breaking delivery ordering — a chaos-testing aid
-// proving the epoch/termination/location protocols tolerate arbitrary
-// interleavings. Call before Run.
-func (rt *Runtime) SetJitter(max time.Duration) {
-	rt.mustNotRun("SetJitter")
-	rt.nw.SetJitter(max)
-}
-
 // SetFaults installs a fault-injection spec on the transport and, when
 // the spec can lose or duplicate messages, switches the runtime to
 // reliable (ack/retry, deduplicated) delivery of epoch messages so
@@ -391,17 +383,16 @@ func (rt *Runtime) SetJitter(max time.Duration) {
 // take a lossy fast path. Delay windows and stragglers apply to every
 // kind. Call before Run; an empty spec leaves the transport (and the
 // fault-free fast path) untouched.
-func (rt *Runtime) SetFaults(sp comm.FaultSpec) error {
+func (rt *Runtime) SetFaults(sp fault.Spec) error {
 	rt.mustNotRun("SetFaults")
 	if err := sp.Validate(rt.n); err != nil {
 		return err
 	}
+	rt.nw.SetFaults(sp, kindUser, kindObject, kindMigrate, kindLocUpdate)
 	if sp.Empty() {
-		rt.nw.SetFaultPlan(nil)
 		rt.reliable = false
 		return nil
 	}
-	rt.nw.SetFaultPlan(sp.Plan(kindUser, kindObject, kindMigrate, kindLocUpdate))
 	rt.reliable = sp.Drop > 0 || sp.Dup > 0
 	rt.retryBase = sp.RetryBase
 	if rt.retryBase == 0 {

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"temperedlb/internal/comm"
 	"temperedlb/internal/core"
+	"temperedlb/internal/fault"
 )
 
 // TestTreeGeometry pins the k-ary tree layout the collectives ride:
@@ -117,7 +117,7 @@ func TestAllGather(t *testing.T) {
 func TestChaosTreeCollectiveStorm1024(t *testing.T) {
 	const n, rounds = 1024, 2
 	rt := New(n)
-	if err := rt.SetFaults(comm.FaultSpec{
+	if err := rt.SetFaults(fault.Spec{
 		Seed: 9, Drop: 0.1, Dup: 0.1,
 		DelayMax: 200 * time.Microsecond,
 	}); err != nil {

@@ -158,3 +158,18 @@ func TestProtocolScoping(t *testing.T) {
 		})
 	}
 }
+
+// TestProtocolScopingCoversFault loads the positive fixture as
+// internal/fault, whose dice decide every injected drop, duplicate and
+// delay, and requires the analyzer to guard it like any protocol
+// package.
+func TestProtocolScopingCoversFault(t *testing.T) {
+	pkg := testLoader(t).LoadDir(filepath.Join("testdata", "nodeterminism", "pos"), "td/internal/fault")
+	if len(pkg.TypeErrors) > 0 {
+		t.Fatalf("fixture does not typecheck: %v", pkg.TypeErrors)
+	}
+	runner := &Runner{Analyzers: []*Analyzer{analyzerByName(t, "nodeterminism")}}
+	if len(runner.Run([]*Package{pkg})) == 0 {
+		t.Error("no finding in internal/fault: the package is outside the protocol scope")
+	}
+}

@@ -40,9 +40,10 @@ var globalRandFuncs = map[string]bool{
 // decision reads ambient entropy.
 //
 // Scope: the protocol packages (internal/core, internal/lb,
-// internal/amt, internal/comm, internal/termination, internal/serve)
-// plus examples/* — the examples are executable protocol documentation
-// and must replay exactly like the protocol itself. Carve-outs:
+// internal/amt, internal/comm, internal/fault, internal/termination,
+// internal/serve) plus examples/* — the examples are executable
+// protocol documentation and must replay exactly like the protocol
+// itself. Carve-outs:
 // internal/comm/wire (dial backoff, RTT measurement and write deadlines
 // legitimately read the wall clock below the protocol; see
 // protocolPackage) and cmd/* (lbnode's startup timeouts and lbtop's

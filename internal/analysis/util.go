@@ -124,7 +124,8 @@ func namedTypeName(t types.Type) string {
 // paths like td/internal/core/x qualify too.
 //
 // internal/serve is protocol: its per-phase trigger decisions must be
-// rank-identical, exactly like the balancer underneath.
+// rank-identical, exactly like the balancer underneath. internal/fault
+// is too: its dice decide every injected drop, duplicate and delay.
 //
 // internal/comm/wire is carved out: it sits below the protocol — dial
 // backoff, RTT measurement and write deadlines legitimately read the
@@ -140,6 +141,7 @@ func protocolPackage(path string) bool {
 		"internal/lb",
 		"internal/amt",
 		"internal/comm",
+		"internal/fault",
 		"internal/termination",
 		"internal/serve",
 	} {

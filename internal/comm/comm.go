@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"temperedlb/internal/clock"
+	"temperedlb/internal/fault"
 )
 
 // Kind discriminates message classes at the transport level so the
@@ -44,7 +46,7 @@ type Network struct {
 	sent    atomic.Int64
 	seq     []atomic.Int64
 	closed  atomic.Bool
-	plan    atomic.Pointer[FaultPlan]
+	plan    atomic.Pointer[plan]
 
 	// lo/hi bound the local rank range [lo,hi); messages to ranks
 	// outside it are handed to forward (a partial network's uplink to
@@ -141,41 +143,50 @@ func (nw *Network) Inject(m Message) {
 	nw.inbox(m.To).push(m)
 }
 
-// SetJitter makes every delivery wait a uniformly random duration up to
-// max before landing in the destination inbox, modeling network latency
-// variance. Per-sender FIFO is intentionally NOT preserved under jitter
-// — the point is to stress ordering assumptions (the runtime's
-// termination detection and location forwarding must tolerate arbitrary
-// interleavings). It is sugar for a delay-only fault plan. Must be set
-// before any traffic flows (enforced: setting it after a Send panics);
-// zero disables.
-func (nw *Network) SetJitter(max time.Duration) {
-	if max < 0 {
-		panic("comm: SetJitter: negative jitter")
-	}
-	if max == 0 {
-		nw.SetFaultPlan(nil)
-		return
-	}
-	nw.SetFaultPlan(&FaultPlan{Seed: 0x5eed, DelayMax: max})
+// plan is an installed fault spec plus the kinds its drop and
+// duplication probabilities apply to. The delay window and straggler
+// penalties apply to every kind (latency hits control traffic too — the
+// protocols must tolerate that, and the jitter chaos tests prove they
+// do).
+type plan struct {
+	fault.Spec
+	lossy [MaxKinds]bool
 }
 
-// SetFaultPlan installs (or, with nil, removes) the fault schedule every
-// subsequent delivery is subjected to. The plan is copied; see FaultPlan
-// for the semantics. Like SetJitter it must be called before any
-// traffic flows — fault decisions are keyed by per-sender sequence
-// numbers, so swapping plans mid-traffic would make runs unreproducible
-// and race with in-flight accounting; calling it after a Send panics.
-func (nw *Network) SetFaultPlan(p *FaultPlan) {
+// SetFaults installs the fault spec every subsequent delivery is
+// subjected to; an empty spec (the default) removes it and leaves Send
+// the fault-free fast path, one pointer load. Drop and duplication
+// apply only to the lossy kinds: dropping or duplicating a kind is only
+// safe when the layer above recovers (the amt runtime retransmits and
+// deduplicates its epoch kinds). A jitter-only plan is
+// fault.Spec{DelayMax: max}: per-sender FIFO is then intentionally NOT
+// preserved, to stress ordering assumptions.
+//
+// It must be called before any traffic flows — fault decisions are
+// keyed by per-sender sequence numbers, so swapping plans mid-traffic
+// would make runs unreproducible and race with in-flight accounting;
+// calling it after a Send panics, as does an invalid spec.
+func (nw *Network) SetFaults(sp fault.Spec, lossy ...Kind) {
 	if nw.TotalSent() > 0 {
-		panic("comm: SetFaultPlan/SetJitter after traffic has flowed")
+		panic("comm: SetFaults after traffic has flowed")
 	}
-	if !p.active() {
+	if err := sp.Validate(nw.n); err != nil {
+		panic(fmt.Sprintf("comm: SetFaults: %v", err))
+	}
+	if len(lossy) == 0 {
+		sp.Drop, sp.Dup = 0, 0
+	}
+	if sp.Empty() {
 		nw.plan.Store(nil)
 		return
 	}
-	p.validate()
-	nw.plan.Store(p.clone())
+	// Copy the penalties so later caller mutations cannot race Send.
+	sp.SlowRanks = maps.Clone(sp.SlowRanks)
+	p := &plan{Spec: sp}
+	for _, k := range lossy {
+		p.lossy[k] = true
+	}
+	nw.plan.Store(p)
 }
 
 // NumRanks returns the number of ranks.
@@ -211,21 +222,21 @@ func (nw *Network) Send(m Message) {
 // dropped, delivered once or twice, and each delivered copy may be
 // delayed. All decisions are pure functions of (plan seed, sender,
 // per-sender sequence), so concurrent senders share no fault state.
-func (nw *Network) faultedDeliver(p *FaultPlan, m Message) {
-	if pr := p.Drop[m.Kind]; pr > 0 && faultUniform(p.Seed, m.From, m.Seq, saltDrop) < pr {
+func (nw *Network) faultedDeliver(p *plan, m Message) {
+	d := p.Decide(m.From, m.To, m.Seq, p.lossy[m.Kind])
+	if d.Drop {
 		nw.dropKind[m.Kind].Add(1)
 		return
 	}
-	nw.deliverCopy(p, m, saltDelay)
-	if pr := p.Dup[m.Kind]; pr > 0 && faultUniform(p.Seed, m.From, m.Seq, saltDup) < pr {
+	nw.deliverAfter(m, d.Delay)
+	if d.Dup {
 		nw.dupKind[m.Kind].Add(1)
-		nw.deliverCopy(p, m, saltDupDelay)
+		nw.deliverAfter(m, d.DupDelay)
 	}
 }
 
-// deliverCopy lands one copy of m, immediately or after its drawn delay.
-func (nw *Network) deliverCopy(p *FaultPlan, m Message, salt uint64) {
-	delay := p.delayFor(m, salt)
+// deliverAfter lands one copy of m, immediately or after delay.
+func (nw *Network) deliverAfter(m Message, delay time.Duration) {
 	if delay <= 0 {
 		nw.deliver(m)
 		return

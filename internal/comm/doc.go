@@ -8,9 +8,9 @@
 // everything above it (active messages, epochs, termination detection,
 // collectives) is implemented for real on top of this transport.
 //
-// The transport doubles as a fault harness: a FaultPlan (built from a
-// FaultSpec, parsed by ParseFaultSpec) makes it drop, duplicate, delay
-// or straggle messages under stateless seeded per-message decisions, so
+// The transport doubles as a fault harness: a fault.Spec installed with
+// SetFaults makes it drop, duplicate, delay or straggle messages under
+// the stateless seeded per-message dice of internal/fault, so
 // a given plan injects the same faults on every run regardless of
 // goroutine scheduling. An absent plan leaves the fault-free fast path
 // untouched. Recovery is not this package's job — internal/amt layers

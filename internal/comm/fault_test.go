@@ -1,58 +1,12 @@
 package comm
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"temperedlb/internal/fault"
 )
-
-func TestParseFaultSpec(t *testing.T) {
-	sp, err := ParseFaultSpec("drop=0.01,dup=0.02,delay=5ms,delaymin=1ms,seed=42,slow=3:2ms,retry=2ms,retrycap=64ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FaultSpec{
-		Seed: 42, Drop: 0.01, Dup: 0.02,
-		DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond,
-		SlowRanks: map[int]time.Duration{3: 2 * time.Millisecond},
-		RetryBase: 2 * time.Millisecond, RetryCap: 64 * time.Millisecond,
-	}
-	if sp.Seed != want.Seed || sp.Drop != want.Drop || sp.Dup != want.Dup ||
-		sp.DelayMin != want.DelayMin || sp.DelayMax != want.DelayMax ||
-		sp.RetryBase != want.RetryBase || sp.RetryCap != want.RetryCap ||
-		len(sp.SlowRanks) != 1 || sp.SlowRanks[3] != 2*time.Millisecond {
-		t.Fatalf("parsed %+v, want %+v", sp, want)
-	}
-	// The String rendering round-trips.
-	back, err := ParseFaultSpec(sp.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.String() != sp.String() {
-		t.Fatalf("round trip %q != %q", back.String(), sp.String())
-	}
-
-	if sp, err := ParseFaultSpec("  "); err != nil || !sp.Empty() {
-		t.Fatalf("blank spec: %+v, %v", sp, err)
-	}
-	for _, bad := range []string{
-		"drop", "drop=x", "drop=1.5", "dup=-1", "delay=8", "wat=1",
-		"slow=3", "slow=a:1ms", "slow=0:-1ms", "delaymin=5ms,delay=1ms",
-	} {
-		if _, err := ParseFaultSpec(bad); err == nil {
-			t.Errorf("ParseFaultSpec(%q): expected error", bad)
-		}
-	}
-}
-
-func TestFaultSpecValidateRankBounds(t *testing.T) {
-	sp := FaultSpec{SlowRanks: map[int]time.Duration{5: time.Millisecond}}
-	if err := sp.Validate(0); err != nil {
-		t.Fatalf("unbounded validation rejected rank 5: %v", err)
-	}
-	if err := sp.Validate(4); err == nil {
-		t.Fatal("rank 5 of 4 accepted")
-	}
-}
 
 // drainAll closes the network and collects every message queued for rank.
 func drainAll(nw *Network, rank int) []Message {
@@ -70,9 +24,7 @@ func drainAll(nw *Network, rank int) []Message {
 func TestFaultPlanDropIsSeededAndDeterministic(t *testing.T) {
 	run := func() (delivered map[int]bool, dropped int64) {
 		nw := NewNetwork(2)
-		plan := &FaultPlan{Seed: 7}
-		plan.Drop[0] = 0.3
-		nw.SetFaultPlan(plan)
+		nw.SetFaults(fault.Spec{Seed: 7, Drop: 0.3}, 0)
 		for i := 0; i < 400; i++ {
 			nw.Send(Message{From: 0, To: 1, Data: i})
 		}
@@ -107,9 +59,7 @@ func TestFaultPlanDropIsSeededAndDeterministic(t *testing.T) {
 // untouched.
 func nwDropOther(t *testing.T) int64 {
 	nw := NewNetwork(2)
-	plan := &FaultPlan{Seed: 7}
-	plan.Drop[0] = 0.9
-	nw.SetFaultPlan(plan)
+	nw.SetFaults(fault.Spec{Seed: 7, Drop: 0.9}, 0)
 	for i := 0; i < 100; i++ {
 		nw.Send(Message{From: 0, To: 1, Kind: 2, Data: i})
 	}
@@ -121,9 +71,7 @@ func nwDropOther(t *testing.T) int64 {
 
 func TestFaultPlanDuplication(t *testing.T) {
 	nw := NewNetwork(2)
-	plan := &FaultPlan{Seed: 11}
-	plan.Dup[0] = 0.5
-	nw.SetFaultPlan(plan)
+	nw.SetFaults(fault.Spec{Seed: 11, Dup: 0.5}, 0)
 	const n = 300
 	for i := 0; i < n; i++ {
 		nw.Send(Message{From: 0, To: 1, Data: i})
@@ -157,7 +105,7 @@ func TestFaultPlanDuplication(t *testing.T) {
 
 func TestFaultPlanDelayAndSlowRanksDeliverEverything(t *testing.T) {
 	nw := NewNetwork(3)
-	nw.SetFaultPlan(&FaultPlan{
+	nw.SetFaults(fault.Spec{
 		Seed:     3,
 		DelayMin: 500 * time.Microsecond,
 		DelayMax: 2 * time.Millisecond,
@@ -198,7 +146,7 @@ func TestSetFaultPlanAfterTrafficPanics(t *testing.T) {
 			t.Error("expected panic installing a fault plan after traffic")
 		}
 	}()
-	nw.SetFaultPlan(&FaultPlan{DelayMax: time.Millisecond})
+	nw.SetFaults(fault.Spec{DelayMax: time.Millisecond, Drop: 0.1}, 0)
 }
 
 func TestSetJitterAfterTrafficPanics(t *testing.T) {
@@ -209,24 +157,32 @@ func TestSetJitterAfterTrafficPanics(t *testing.T) {
 			t.Error("expected panic setting jitter after traffic")
 		}
 	}()
-	nw.SetJitter(time.Millisecond)
+	nw.SetFaults(fault.Spec{Seed: 0x5eed, DelayMax: time.Millisecond})
 }
 
 func TestSetFaultPlanValidatesRanges(t *testing.T) {
-	nw := NewNetwork(2)
-	plan := &FaultPlan{}
-	plan.Drop[0] = 1.0
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on drop probability 1.0")
-		}
-	}()
-	nw.SetFaultPlan(plan)
+	for _, sp := range []fault.Spec{
+		{Drop: 1.0},
+		{Dup: math.NaN()},
+		{DelayMax: -time.Millisecond},
+		{SlowRanks: map[int]time.Duration{2: time.Millisecond}}, // rank 2 of 2
+	} {
+		func() {
+			nw := NewNetwork(2)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic installing %+v", sp)
+				}
+			}()
+			nw.SetFaults(sp, 0)
+		}()
+	}
 }
 
 func TestEmptyFaultPlanIsInert(t *testing.T) {
 	nw := NewNetwork(2)
-	nw.SetFaultPlan(&FaultPlan{Seed: 99}) // active() is false: stored as nil
+	nw.SetFaults(fault.Spec{Seed: 99}, 0)         // seed alone is empty: stored as nil
+	nw.SetFaults(fault.Spec{Seed: 99, Drop: 0.5}) // no lossy kind: also nil
 	for i := 0; i < 50; i++ {
 		nw.Send(Message{From: 0, To: 1, Data: i})
 	}

@@ -1,6 +1,10 @@
 package comm
 
-import "time"
+import (
+	"time"
+
+	"temperedlb/internal/fault"
+)
 
 // Transport is the pluggable message substrate underneath the AMT
 // runtime. The in-memory Network is the reference implementation; the
@@ -13,8 +17,8 @@ import "time"
 // Semantics every implementation must provide:
 //
 //   - Send never blocks and stamps a per-sender sequence number; fault
-//     plans (SetFaultPlan) are applied exactly once, at the sending
-//     side, keyed by that sequence number.
+//     plans (SetFaults) are applied exactly once, at the sending side,
+//     keyed by that sequence number.
 //   - Per-sender FIFO order is preserved for undelayed deliveries.
 //   - Recv* methods serve only ranks inside LocalRange; a transport
 //     hosting a slice of a larger job forwards everything else.
@@ -40,8 +44,7 @@ type Transport interface {
 	Close()
 	Closed() bool
 
-	SetFaultPlan(*FaultPlan)
-	SetJitter(max time.Duration)
+	SetFaults(sp fault.Spec, lossy ...Kind)
 
 	EnableByteAccounting()
 	ByteAccounting() bool

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"temperedlb/internal/comm"
+	"temperedlb/internal/fault"
 )
 
 func testClusterEcho(t *testing.T, network string) {
@@ -88,11 +89,11 @@ func TestCloseDrain(t *testing.T) {
 
 	// A fault plan that delays some traffic stresses the drain: Close
 	// must wait out the sleeping delivery goroutines too.
-	spec, err := comm.ParseFaultSpec("delay=2ms,delaymin=1ms,seed=9")
+	spec, err := fault.Parse("delay=2ms,delaymin=1ms,seed=9")
 	if err != nil {
 		t.Fatalf("fault spec: %v", err)
 	}
-	sender.SetFaultPlan(spec.Plan())
+	sender.SetFaults(spec)
 
 	for i := 0; i < burst; i++ {
 		sender.Send(comm.Message{From: 0, To: 1, Kind: 1, Handler: int32(i)})

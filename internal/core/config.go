@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
+	"temperedlb/internal/fault"
 	"temperedlb/internal/obs"
 )
 
@@ -198,35 +198,22 @@ type Config struct {
 	// are sampled uniformly from the sender's knowledge.
 	MaxGossipEntries int
 
-	// GossipDrop, in [0,1), makes the synchronous engine's simulated
-	// transport lossy: each gossip message is discarded with this
-	// probability before delivery, drawn from a dedicated seeded stream.
-	// It is the engine-side mirror of the distributed runtime's fault
-	// injection — gossip is the one protocol the engine simulates
-	// asynchronously, and knowledge loss is exactly how transport loss
-	// manifests there (transfers and collectives have no engine
-	// counterpart to drop). Zero, the default, leaves the delivery loop
-	// untouched and results bit-identical to earlier versions.
-	GossipDrop float64
-
-	// GossipDup, GossipDelayMin/GossipDelayMax and GossipSlowRanks extend
-	// the engine's gossip transport to the full fault grammar the
-	// distributed runtime accepts (comm.FaultSpec): duplicated deliveries,
-	// a uniform per-message virtual latency band, and per-rank straggler
-	// penalties added to every message a slow rank sends or receives.
-	// Setting any of them switches gossip delivery from the legacy FIFO
-	// queue to a virtual-time event queue ordered by delivery time (ties
-	// by enqueue order, so an all-zero-delay spec reproduces FIFO order
-	// exactly). Fault decisions are stateless hashes of the message index
-	// under GossipFaultSeed (Seed when zero), so runs stay reproducible.
-	// Retry knobs of the grammar have no engine counterpart — the engine
-	// queue never loses a message except by explicit drop — and are
-	// accepted as no-ops by the flag parsers.
-	GossipDup       float64
-	GossipDelayMin  time.Duration
-	GossipDelayMax  time.Duration
-	GossipSlowRanks map[int]time.Duration
-	GossipFaultSeed int64
+	// Faults makes the engine's simulated gossip transport faulty, with
+	// the same spec and the same stateless dice (internal/fault) the
+	// distributed runtime installs on its transport. Gossip is the one
+	// protocol the engine simulates asynchronously, and knowledge loss is
+	// exactly how transport faults manifest there (transfers and
+	// collectives have no engine counterpart to drop). Any non-empty spec
+	// switches gossip delivery from the FIFO queue to a virtual-time
+	// event queue ordered by delivery time (ties by enqueue order, so a
+	// zero-effect spec reproduces FIFO order exactly): messages may be
+	// dropped or duplicated, each delivered copy lands after the spec's
+	// delay window plus the straggler penalties of both endpoints. The
+	// dice are keyed by the spec's seed (Seed when zero), the trial and
+	// the iteration, so runs stay reproducible. The retry tuning has no
+	// engine counterpart and is ignored. The empty spec, the default,
+	// leaves the FIFO queue without any per-message fault branch.
+	Faults fault.Spec
 
 	// Stream, when non-nil, receives one obs.Snapshot frame per engine
 	// iteration (plus an initial frame), carrying per-rank loads and the
@@ -304,24 +291,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: comm bias must be in [0,1), got %g", c.CommBias)
 	case c.MaxGossipEntries < 0:
 		return fmt.Errorf("core: max gossip entries must be >= 0, got %d", c.MaxGossipEntries)
-	case c.GossipDrop < 0 || c.GossipDrop >= 1:
-		return fmt.Errorf("core: gossip drop must be in [0,1), got %g", c.GossipDrop)
-	case c.GossipDup < 0 || c.GossipDup >= 1:
-		return fmt.Errorf("core: gossip dup must be in [0,1), got %g", c.GossipDup)
-	case c.GossipDelayMin < 0 || c.GossipDelayMax < 0:
-		return fmt.Errorf("core: gossip delays must be >= 0, got min %v max %v",
-			c.GossipDelayMin, c.GossipDelayMax)
-	case c.GossipDelayMax > 0 && c.GossipDelayMin > c.GossipDelayMax:
-		return fmt.Errorf("core: gossip delay min %v exceeds max %v",
-			c.GossipDelayMin, c.GossipDelayMax)
 	}
-	for r, d := range c.GossipSlowRanks {
-		if r < 0 {
-			return fmt.Errorf("core: gossip slow rank must be >= 0, got %d", r)
-		}
-		if d < 0 {
-			return fmt.Errorf("core: gossip slow penalty must be >= 0, got %v", d)
-		}
+	if err := c.Faults.Validate(0); err != nil {
+		return fmt.Errorf("core: gossip faults: %w", err)
 	}
 	return nil
 }

@@ -20,9 +20,9 @@ type IterationStats struct {
 	GossipMessages int
 	GossipEntries  int
 
-	// GossipDropped counts gossip messages lost to Config.GossipDrop
-	// before delivery; GossipDuplicated counts extra deliveries injected
-	// by Config.GossipDup (both always zero when the knobs are off).
+	// GossipDropped counts gossip messages lost to Config.Faults before
+	// delivery; GossipDuplicated counts extra deliveries it injected
+	// (both always zero under the empty spec).
 	GossipDropped    int
 	GossipDuplicated int
 
@@ -129,10 +129,9 @@ type engineScratch struct {
 	states      []*InformState
 	transferRNG []*rand.Rand
 	orderRNG    *rand.Rand
-	dropRNG     *rand.Rand    // gossip-loss dice, used only when cfg.GossipDrop > 0
 	work        *Assignment   // working distribution, reset per trial
 	queue       []Send        // gossip delivery queue, truncated per iteration
-	events      []gossipEvent // virtual-time delivery heap (rich fault specs)
+	events      []gossipEvent // virtual-time delivery heap (faulted gossip)
 	order       []int         // rank traversal permutation
 	tasks       []Task        // overloaded rank's task set
 	owners      []Rank        // owner snapshot for the affinity closure
@@ -158,7 +157,6 @@ func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
 		sc.transferRNG[r] = newRNG(cfg.Seed)
 	}
 	sc.orderRNG = newRNG(cfg.Seed)
-	sc.dropRNG = newRNG(cfg.Seed)
 	sc.order = make([]int, numRanks)
 	sc.work = nil
 }
@@ -230,9 +228,6 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 			reseed(sc.transferRNG[r], e.cfg.Seed, int64(trial), int64(r), 0x7af)
 		}
 		reseed(sc.orderRNG, e.cfg.Seed, int64(trial), 0x0deb)
-		if e.cfg.GossipDrop > 0 {
-			reseed(sc.dropRNG, e.cfg.Seed, int64(trial), 0xd209)
-		}
 
 		for iter := 1; iter <= e.cfg.Iterations; iter++ {
 			st := IterationStats{Trial: trial, Iteration: iter}
@@ -309,9 +304,10 @@ func (r *Result) Apply(a *Assignment) {
 // synchronous stand-in for termination detection. Message and payload
 // counts are recorded in st. The queue buffer is reused across
 // iterations; each Send is copied into it, so the per-state send buffers
-// may be recycled freely.
+// may be recycled freely. A faulty transport (Config.Faults) takes the
+// virtual-time path instead.
 func (e *Engine) gossip(work *Assignment, ave float64, st *IterationStats) {
-	if e.cfg.gossipFaultsRich() {
+	if !e.cfg.Faults.Empty() {
 		e.gossipVirtualTime(work, ave, st)
 		return
 	}
@@ -320,17 +316,8 @@ func (e *Engine) gossip(work *Assignment, ave float64, st *IterationStats) {
 	for r := range states {
 		queue = append(queue, states[r].Begin(ave, work.RankLoad(Rank(r)))...)
 	}
-	drop := e.cfg.GossipDrop
 	for head := 0; head < len(queue); head++ {
 		s := queue[head]
-		if drop > 0 && e.sc.dropRNG.Float64() < drop {
-			// Lost in transit: the payload never reaches its target, so no
-			// merge and no forwarding cascade. The knowledge the receiver
-			// would have gained simply stays unknown — exactly the engine-
-			// level analogue of a dropped transport message.
-			st.GossipDropped++
-			continue
-		}
 		st.GossipMessages++
 		st.GossipEntries += len(s.Msg.Entries)
 		more, _ := states[s.To].Receive(s.Msg)

@@ -3,7 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
+
+	"temperedlb/internal/fault"
 )
 
 // clusteredAssignment puts n tasks with seeded loads on the first k of p
@@ -329,13 +333,14 @@ func TestEngineKnowledgeCappedByLimitedInfo(t *testing.T) {
 	}
 }
 
-// TestEngineGossipDrop exercises the engine's lossy-gossip knob: drops
-// are counted, delivery shrinks, refinement still works, and the same
-// seed reproduces the identical run.
+// TestEngineGossipDrop exercises a drop-only fault spec on the engine's
+// gossip: drops are counted, delivery shrinks, refinement still works,
+// the same seed reproduces the identical run, and a zero fault seed
+// falls back to the engine seed.
 func TestEngineGossipDrop(t *testing.T) {
 	a := clusteredAssignment(64, 4, 400, 1)
 	cfg := smallTempered()
-	cfg.GossipDrop = 0.3
+	cfg.Faults = fault.Spec{Drop: 0.3}
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -350,10 +355,10 @@ func TestEngineGossipDrop(t *testing.T) {
 		delivered += st.GossipMessages
 	}
 	if dropped == 0 {
-		t.Fatal("GossipDrop=0.3 dropped nothing")
+		t.Fatal("drop=0.3 dropped nothing")
 	}
 	if delivered == 0 {
-		t.Fatal("GossipDrop=0.3 delivered nothing")
+		t.Fatal("drop=0.3 delivered nothing")
 	}
 	// Loss should land in the neighbourhood of the configured rate.
 	rate := float64(dropped) / float64(dropped+delivered)
@@ -379,43 +384,71 @@ func TestEngineGossipDrop(t *testing.T) {
 			t.Fatalf("drop sequence not reproducible at row %d", i)
 		}
 	}
+	// Seed 0 means "the engine seed"; any other fault seed rolls other dice.
+	seeded := cfg
+	seeded.Faults.Seed = cfg.Seed
+	if res3 := mustRun(t, seeded, a); !reflect.DeepEqual(stripElapsed(res3), stripElapsed(res)) {
+		t.Error("fault seed 0 does not fall back to the engine seed")
+	}
+	seeded.Faults.Seed = cfg.Seed + 1
+	if res4 := mustRun(t, seeded, a); reflect.DeepEqual(stripElapsed(res4), stripElapsed(res)) {
+		t.Error("a different fault seed reproduced the same run")
+	}
 }
 
-// TestEngineGossipDropZeroIdentical pins that the knob is inert when off:
-// a GossipDrop=0 run is identical to one with the field untouched.
+func mustRun(t *testing.T, cfg Config, a *Assignment) *Result {
+	t.Helper()
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// stripElapsed returns the result with its wall-clock fields zeroed.
+func stripElapsed(r *Result) *Result {
+	c := *r
+	c.History = append([]IterationStats(nil), r.History...)
+	for i := range c.History {
+		c.History[i].ElapsedSeconds = 0
+	}
+	return &c
+}
+
+// TestEngineGossipDropZeroIdentical pins that an empty fault spec is
+// inert: a drop=0 spec, a seed-only spec and a retry-only spec all run
+// the FIFO queue and reproduce the fault-free run exactly.
 func TestEngineGossipDropZeroIdentical(t *testing.T) {
 	a := clusteredAssignment(48, 3, 300, 9)
-	base, _ := NewEngine(smallTempered())
-	resBase, err := base.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallTempered()
-	cfg.GossipDrop = 0
-	zero, _ := NewEngine(cfg)
-	resZero, err := zero.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resZero.FinalImbalance != resBase.FinalImbalance ||
-		resZero.BestTrial != resBase.BestTrial ||
-		resZero.BestIteration != resBase.BestIteration ||
-		len(resZero.Moves) != len(resBase.Moves) {
-		t.Errorf("GossipDrop=0 changed the outcome: %v vs %v", resZero, resBase)
+	resBase := stripElapsed(mustRun(t, smallTempered(), a))
+	for _, sp := range []fault.Spec{
+		{Drop: 0},
+		{Seed: 77},
+		{RetryBase: time.Millisecond, RetryCap: time.Second},
+	} {
+		cfg := smallTempered()
+		cfg.Faults = sp
+		if res := stripElapsed(mustRun(t, cfg, a)); !reflect.DeepEqual(res, resBase) {
+			t.Errorf("empty spec %q changed the outcome: %v vs %v", sp.String(), res, resBase)
+		}
 	}
 	for i := range resBase.History {
 		if resBase.History[i].GossipDropped != 0 {
-			t.Fatal("GossipDropped nonzero with the knob off")
+			t.Fatal("GossipDropped nonzero without faults")
 		}
 	}
 }
 
 func TestEngineGossipDropValidate(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1.0, 1.5} {
+	for _, bad := range []float64{-0.1, 1.0, 1.5, math.NaN()} {
 		cfg := smallTempered()
-		cfg.GossipDrop = bad
+		cfg.Faults.Drop = bad
 		if _, err := NewEngine(cfg); err == nil {
-			t.Errorf("GossipDrop=%g accepted", bad)
+			t.Errorf("drop=%g accepted", bad)
 		}
 	}
 }

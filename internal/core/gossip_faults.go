@@ -2,29 +2,18 @@ package core
 
 import "time"
 
-// This file is the engine-side twin of the transport fault injection in
-// internal/comm: the same drop/dup/delay/slow grammar, applied to the
-// one protocol the synchronous engine simulates asynchronously. The
-// legacy drop-only path in gossip() keeps its dedicated RNG stream for
-// bit-compatibility with earlier versions; any richer spec switches to
-// the virtual-time queue below.
-
-// gossipFaultsRich reports whether the configuration needs the
-// virtual-time delivery queue instead of the legacy FIFO path.
-func (c *Config) gossipFaultsRich() bool {
-	return c.GossipDup > 0 || c.GossipDelayMin > 0 || c.GossipDelayMax > 0 ||
-		len(c.GossipSlowRanks) > 0
-}
+// This file runs the engine's gossip under Config.Faults: the fault
+// spec and dice of internal/fault, applied to the one protocol the
+// synchronous engine simulates asynchronously.
 
 // gossipEvent is one scheduled delivery in the virtual-time gossip
 // transport. seq is the enqueue index: it breaks delivery-time ties, so
 // an all-zero-delay spec degenerates to exact FIFO order, and it keys
 // the per-message fault decisions.
 type gossipEvent struct {
-	at   time.Duration
-	seq  uint64
-	from Rank
-	s    Send
+	at  time.Duration
+	seq int64
+	s   Send
 }
 
 // eventLess orders the heap by (delivery time, enqueue index).
@@ -76,64 +65,34 @@ func popEvent(h []gossipEvent) (gossipEvent, []gossipEvent) {
 	return top, h
 }
 
-// Salts separating the per-message fault decision streams.
-const (
-	gossipSaltDrop  = 0xd209
-	gossipSaltDup   = 0xd7b1
-	gossipSaltDelay = 0xde1a // +copy for the duplicate's own delay
-)
-
-// gossipFaultWord returns a uniform [0,1) draw for one decision about
-// one enqueued message, as a stateless hash — no generator state, so
-// delivery order cannot perturb later decisions.
-func gossipFaultWord(base, seq, salt uint64) float64 {
-	u := splitmix64(base ^ splitmix64(seq*0x9e3779b97f4a7c15^salt))
-	return float64(u>>11) / (1 << 53)
-}
-
 // gossipVirtualTime delivers the inform stage through a virtual-time
-// event queue with the full fault grammar: per-message drop and
-// duplication decided by stateless hashes, a uniform latency band, and
-// per-rank straggler penalties on both endpoints. Cascaded forwards
-// inherit the triggering delivery's virtual time as their send time.
+// event queue under the fault spec: per-message drop, duplication and
+// delay decided by the shared stateless dice, keyed by the sender and
+// the enqueue index. Cascaded forwards inherit the triggering
+// delivery's virtual time as their send time.
 func (e *Engine) gossipVirtualTime(work *Assignment, ave float64, st *IterationStats) {
-	cfg := &e.cfg
 	states := e.sc.states
-	fseed := cfg.GossipFaultSeed
-	if fseed == 0 {
-		fseed = cfg.Seed
+	dice := e.cfg.Faults
+	if dice.Seed == 0 {
+		dice.Seed = e.cfg.Seed
 	}
-	base := uint64(deriveSeed(fseed, int64(st.Trial), int64(st.Iteration), 0xfa5e))
-
-	delayFor := func(seq, nthCopy uint64, from, to Rank) time.Duration {
-		d := time.Duration(0)
-		if cfg.GossipDelayMax > 0 {
-			band := cfg.GossipDelayMax - cfg.GossipDelayMin
-			u := gossipFaultWord(base, seq, gossipSaltDelay+nthCopy)
-			d = cfg.GossipDelayMin + time.Duration(u*float64(band))
-		}
-		d += cfg.GossipSlowRanks[int(from)]
-		d += cfg.GossipSlowRanks[int(to)]
-		return d
-	}
+	dice.Seed = deriveSeed(dice.Seed, int64(st.Trial), int64(st.Iteration), 0xfa5e)
 
 	h := e.sc.events[:0]
-	var seq uint64
+	var seq int64
 	enqueue := func(s Send, from Rank, now time.Duration) {
-		mySeq := seq
+		d := dice.Decide(int(from), int(s.To), seq, true)
+		ev := gossipEvent{at: now + d.Delay, seq: seq, s: s}
 		seq++
-		if cfg.GossipDrop > 0 && gossipFaultWord(base, mySeq, gossipSaltDrop) < cfg.GossipDrop {
+		if d.Drop {
 			st.GossipDropped++
 			return
 		}
-		h = pushEvent(h, gossipEvent{
-			at: now + delayFor(mySeq, 0, from, s.To), seq: mySeq, from: from, s: s,
-		})
-		if cfg.GossipDup > 0 && gossipFaultWord(base, mySeq, gossipSaltDup) < cfg.GossipDup {
+		h = pushEvent(h, ev)
+		if d.Dup {
 			st.GossipDuplicated++
-			h = pushEvent(h, gossipEvent{
-				at: now + delayFor(mySeq, 1, from, s.To), seq: mySeq, from: from, s: s,
-			})
+			ev.at = now + d.DupDelay
+			h = pushEvent(h, ev)
 		}
 	}
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"temperedlb/internal/fault"
 	"temperedlb/internal/obs"
 )
 
@@ -14,11 +16,11 @@ import (
 func TestEngineGossipFaultsRich(t *testing.T) {
 	a := clusteredAssignment(64, 4, 400, 1)
 	cfg := smallTempered()
-	cfg.GossipDrop = 0.2
-	cfg.GossipDup = 0.2
-	cfg.GossipDelayMin = time.Millisecond
-	cfg.GossipDelayMax = 5 * time.Millisecond
-	cfg.GossipSlowRanks = map[int]time.Duration{1: 10 * time.Millisecond}
+	cfg.Faults = fault.Spec{
+		Drop: 0.2, Dup: 0.2,
+		DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond,
+		SlowRanks: map[int]time.Duration{1: 10 * time.Millisecond},
+	}
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +62,10 @@ func TestEngineGossipFaultsRich(t *testing.T) {
 }
 
 // TestEngineGossipZeroDelayRichMatchesFIFO pins the FIFO-degeneration
-// contract of the virtual-time queue: a spec that forces the rich path
-// without perturbing anything (one slow rank with a zero penalty, no
-// drop, no dup, no delay band) must reproduce the legacy FIFO run's
-// decisions exactly — every delivery lands at time zero and the
+// contract of the virtual-time queue: a spec that forces the faulted
+// path without perturbing anything (one slow rank with a zero penalty,
+// no drop, no dup, no delay band) must reproduce the fault-free FIFO
+// run's decisions exactly — every delivery lands at time zero and the
 // enqueue-order tie-break is the FIFO order.
 func TestEngineGossipZeroDelayRichMatchesFIFO(t *testing.T) {
 	a := clusteredAssignment(48, 3, 300, 9)
@@ -73,8 +75,8 @@ func TestEngineGossipZeroDelayRichMatchesFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallTempered()
-	cfg.GossipSlowRanks = map[int]time.Duration{0: 0}
-	if !cfg.gossipFaultsRich() {
+	cfg.Faults.SlowRanks = map[int]time.Duration{0: 0}
+	if cfg.Faults.Empty() {
 		t.Fatal("spec did not select the virtual-time path")
 	}
 	rich, _ := NewEngine(cfg)
@@ -153,17 +155,20 @@ func TestEngineStreamFrames(t *testing.T) {
 func TestGossipFaultConfigValidate(t *testing.T) {
 	bad := []Config{}
 	c := smallTempered()
-	c.GossipDup = 1.0
+	c.Faults.Dup = 1.0
 	bad = append(bad, c)
 	c = smallTempered()
-	c.GossipDelayMin = -time.Millisecond
+	c.Faults.Dup = math.NaN()
 	bad = append(bad, c)
 	c = smallTempered()
-	c.GossipDelayMin = 2 * time.Millisecond
-	c.GossipDelayMax = time.Millisecond
+	c.Faults.DelayMin = -time.Millisecond
 	bad = append(bad, c)
 	c = smallTempered()
-	c.GossipSlowRanks = map[int]time.Duration{-1: time.Millisecond}
+	c.Faults.DelayMin = 2 * time.Millisecond
+	c.Faults.DelayMax = time.Millisecond
+	bad = append(bad, c)
+	c = smallTempered()
+	c.Faults.SlowRanks = map[int]time.Duration{-1: time.Millisecond}
 	bad = append(bad, c)
 	for i, cfg := range bad {
 		if _, err := NewEngine(cfg); err == nil {

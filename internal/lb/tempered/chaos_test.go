@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"temperedlb/internal/amt"
-	"temperedlb/internal/comm"
 	"temperedlb/internal/core"
+	"temperedlb/internal/fault"
 )
 
 // dyadicLoad is the default chaos workload: multiples of 1/8, so any
@@ -31,7 +31,7 @@ func nonDyadicLoad(rank, i, objsPerHot int) float64 {
 // deterministic clustered workload via loadFn, runs the distributed
 // balancer, and returns the per-rank results, fault statistics, and
 // final object census.
-func runChaosCase(t *testing.T, nRanks, hot, objsPerHot int, cfg core.Config, sp *comm.FaultSpec, loadFn func(rank, i, objsPerHot int) float64) ([]DistResult, amt.FaultStats, int) {
+func runChaosCase(t *testing.T, nRanks, hot, objsPerHot int, cfg core.Config, sp *fault.Spec, loadFn func(rank, i, objsPerHot int) float64) ([]DistResult, amt.FaultStats, int) {
 	t.Helper()
 	rt := amt.New(nRanks)
 	if sp != nil {
@@ -82,7 +82,7 @@ func stripTiming(r DistResult) DistResult { return r.StripTiming() }
 // messages: the run must terminate, conserve every object, agree across
 // ranks, and still improve the imbalance.
 func TestDistributedChaosLossy(t *testing.T) {
-	sp := &comm.FaultSpec{
+	sp := &fault.Spec{
 		Seed: 1, Drop: 0.05, Dup: 0.05,
 		DelayMax:  2 * time.Millisecond,
 		RetryBase: time.Millisecond,
@@ -123,7 +123,7 @@ func TestDistributedChaosMatchesFaultFree(t *testing.T) {
 	cfg := distConfig()
 	cfg.Rounds = 1
 	clean, _, cleanCensus := runChaosCase(t, 10, 2, 32, cfg, nil, dyadicLoad)
-	sp := &comm.FaultSpec{
+	sp := &fault.Spec{
 		Seed: 7, Drop: 0.1, Dup: 0.1,
 		DelayMax:  time.Millisecond,
 		RetryBase: time.Millisecond,
@@ -150,7 +150,7 @@ func TestDistributedChaosEmptyPlanIdentity(t *testing.T) {
 	cfg := distConfig()
 	cfg.Rounds = 1
 	plain, _, _ := runChaosCase(t, 8, 2, 24, cfg, nil, dyadicLoad)
-	empty, st, _ := runChaosCase(t, 8, 2, 24, cfg, &comm.FaultSpec{}, dyadicLoad)
+	empty, st, _ := runChaosCase(t, 8, 2, 24, cfg, &fault.Spec{}, dyadicLoad)
 	if st != (amt.FaultStats{}) {
 		t.Fatalf("empty spec produced fault activity: %+v", st)
 	}
@@ -173,7 +173,7 @@ func TestDistributedDelayDeterminismNonDyadic(t *testing.T) {
 	cfg := distConfig()
 	cfg.Rounds = 1
 	clean, _, cleanCensus := runChaosCase(t, 12, 3, 24, cfg, nil, nonDyadicLoad)
-	sp := &comm.FaultSpec{
+	sp := &fault.Spec{
 		Seed:      5,
 		DelayMax:  2 * time.Millisecond,
 		SlowRanks: map[int]time.Duration{2: 3 * time.Millisecond},
@@ -196,7 +196,7 @@ func TestDistributedDelayDeterminismNonDyadic(t *testing.T) {
 // TestDistributedChaosStraggler slows one rank's traffic on top of drops:
 // the protocol must still converge and agree.
 func TestDistributedChaosStraggler(t *testing.T) {
-	sp := &comm.FaultSpec{
+	sp := &fault.Spec{
 		Seed: 3, Drop: 0.05,
 		SlowRanks: map[int]time.Duration{1: 2 * time.Millisecond},
 		RetryBase: time.Millisecond,

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"temperedlb/internal/amt"
-	"temperedlb/internal/comm"
 	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
+	"temperedlb/internal/fault"
 )
 
 // registerColorState installs the wire codec for the test object state,
@@ -37,7 +37,7 @@ func crossTransportConfig() core.Config {
 // per-rank results. For "unix" and "tcp" the job runs as a 3-node
 // cluster of partial networks joined by real sockets, one runtime per
 // node exactly as cmd/lbnode hosts one per process.
-func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int, sp *comm.FaultSpec) []DistResult {
+func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int, sp *fault.Spec) []DistResult {
 	t.Helper()
 	registerColorState()
 	cfg := crossTransportConfig()
@@ -112,12 +112,12 @@ func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int,
 // wall-clock fields may differ (StripTiming removes them).
 func TestCrossTransportIdentity(t *testing.T) {
 	const nRanks, hot, objsPerHot = 10, 2, 12
-	faults := &comm.FaultSpec{}
-	*faults, _ = comm.ParseFaultSpec("drop=0.05,dup=0.05,delay=500us,seed=42")
+	faults := &fault.Spec{}
+	*faults, _ = fault.Parse("drop=0.05,dup=0.05,delay=500us,seed=42")
 
 	for _, tc := range []struct {
 		name string
-		sp   *comm.FaultSpec
+		sp   *fault.Spec
 	}{
 		{"faultfree", nil},
 		{"faulted", faults},

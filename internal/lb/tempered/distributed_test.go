@@ -8,6 +8,7 @@ import (
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/core"
+	"temperedlb/internal/fault"
 )
 
 // colorState is the payload of a migratable test object.
@@ -289,7 +290,9 @@ func TestDistributedManyRanksConverges(t *testing.T) {
 // survive arbitrary message interleavings.
 func TestDistributedUnderJitter(t *testing.T) {
 	rt := amt.New(10)
-	rt.SetJitter(2 * time.Millisecond)
+	if err := rt.SetFaults(fault.Spec{Seed: 0x5eed, DelayMax: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	h := RegisterHandlers(rt, 100)
 	census := make([]int, 10)
 	results := make([]DistResult, 10)

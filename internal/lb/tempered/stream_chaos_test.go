@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"temperedlb/internal/amt"
-	"temperedlb/internal/comm"
+	"temperedlb/internal/fault"
 	"temperedlb/internal/obs"
 )
 
 // runStreamCase mirrors runChaosCase with a frame stream attached to the
 // runtime, returning the published frames alongside the per-rank results.
-func runStreamCase(t *testing.T, nRanks, hot, objsPerHot int, sp *comm.FaultSpec) ([]DistResult, []obs.Snapshot) {
+func runStreamCase(t *testing.T, nRanks, hot, objsPerHot int, sp *fault.Spec) ([]DistResult, []obs.Snapshot) {
 	t.Helper()
 	cfg := distConfig()
 	cfg.Rounds = 1
@@ -109,7 +109,7 @@ func TestDistributedStreamingChaosIdentity(t *testing.T) {
 	cfg.Rounds = 1
 	bare, _, _ := runChaosCase(t, 10, 2, 32, cfg, nil, dyadicLoad)
 	clean, cleanFrames := runStreamCase(t, 10, 2, 32, nil)
-	sp := &comm.FaultSpec{
+	sp := &fault.Spec{
 		Seed: 7, Drop: 0.1, Dup: 0.1,
 		DelayMax:  time.Millisecond,
 		RetryBase: time.Millisecond,

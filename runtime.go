@@ -3,6 +3,7 @@ package temperedlb
 import (
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm"
+	"temperedlb/internal/fault"
 	"temperedlb/internal/lb/tempered"
 )
 
@@ -38,7 +39,7 @@ type (
 	// FaultSpec describes deterministic transport fault injection — drop
 	// and duplication probabilities, delay windows, per-rank stragglers —
 	// installed with Runtime.SetFaults before Run.
-	FaultSpec = comm.FaultSpec
+	FaultSpec = fault.Spec
 	// FaultStats reports a fault plan's injections and the runtime's
 	// recovery work; read with Runtime.FaultStats.
 	FaultStats = amt.FaultStats
@@ -80,8 +81,8 @@ func WithTransport(t Transport) RuntimeOption { return amt.WithTransport(t) }
 
 // ParseFaultSpec parses a comma-separated fault directive such as
 // "seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms" into a FaultSpec.
-// See internal/comm.ParseFaultSpec for the full key set.
-func ParseFaultSpec(s string) (FaultSpec, error) { return comm.ParseFaultSpec(s) }
+// See internal/fault.Parse for the full key set.
+func ParseFaultSpec(s string) (FaultSpec, error) { return fault.Parse(s) }
 
 // NewLoadModel creates a persistence-based load predictor with
 // smoothing factor alpha in (0,1]; alpha = 1 is pure persistence.
